@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark): the hot paths of the Privid
-// pipeline — Laplace sampling, budget ledger operations, sensitivity
-// computation, relational operators, detector + tracker steps, chunking.
+// pipeline — Rng seeding, Laplace sampling, budget ledger operations,
+// sensitivity computation, relational operators, detector + tracker steps,
+// chunking.
 #include <benchmark/benchmark.h>
 
 #include "common/interval_map.hpp"
@@ -26,6 +27,26 @@ static void BM_LaplaceSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LaplaceSample);
+
+// Rng construction alone, then construction plus the handful of draws a
+// detector takes per (entity, frame): the cost every per-entity stream pays.
+static void BM_RngSeedOnly(benchmark::State& state) {
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    Rng rng(seed_mix(7, ++i));
+    benchmark::DoNotOptimize(rng);
+  }
+}
+BENCHMARK(BM_RngSeedOnly);
+
+static void BM_RngSeedDraw6(benchmark::State& state) {
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    Rng rng(seed_mix(7, ++i));
+    for (int k = 0; k < 6; ++k) benchmark::DoNotOptimize(rng.uniform());
+  }
+}
+BENCHMARK(BM_RngSeedDraw6);
 
 static void BM_BudgetCharge(benchmark::State& state) {
   for (auto _ : state) {

@@ -5,12 +5,68 @@
 // are reproducible bit-for-bit across runs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <random>
 
 namespace privid {
 
-// Thin wrapper over std::mt19937_64 with convenience draws.
+// MT19937-64 that emits exactly std::mt19937_64(seed)'s output sequence but
+// seeds and twists its state lazily. Callers build one generator per
+// (entity, frame) and take a handful of draws, so most of the standard
+// engine's up-front work (seed all 312 words, twist all 312 on the first
+// draw) would be wasted on them. Output i < 156 of a freshly seeded engine depends only on
+// seeded words i, i+1 and i+156 (Matsumoto & Nishimura, ACM TOMACS 1998):
+//
+//  - construction stores x[0] = seed and nothing else;
+//  - draw k < 156 extends the seeding recurrence up to word k+156, twists
+//    word k in place and tempers it;
+//  - draw 156 runs the rest of the standard twist (words 156..311, which
+//    read the already-twisted words 0..155); from then on the engine
+//    reloads every 312 draws like the ordinary one.
+//
+// All state is the inline 312-word array plus two indices, so copies (also
+// mid-lazy-phase) continue identically.
+class LazyMt64 {
+ public:
+  using result_type = std::uint64_t;
+
+  explicit LazyMt64(result_type seed) { x_[0] = seed; }
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() {
+    return std::numeric_limits<result_type>::max();
+  }
+
+  result_type operator()() {
+    if (pos_ == ready_) refill();
+    result_type z = x_[pos_++];
+    z ^= (z >> 29) & 0x5555555555555555ull;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ull;
+    z ^= (z << 37) & 0xFFF7EEE000000000ull;
+    z ^= z >> 43;
+    return z;
+  }
+
+ private:
+  static constexpr std::size_t kN = 312;
+  static constexpr std::size_t kM = 156;
+
+  // Makes word pos_ ready: one lazy step, the end of the lazy phase, or a
+  // full reload.
+  void refill();
+
+  result_type x_[kN];
+  // Next word to emit, and the end of the current block's twisted words.
+  // Outside the lazy phase ready_ == kN. Inside it ready_ == pos_ <= kM
+  // between draws, and once a draw is made words [pos_, pos_ + kM) hold
+  // seed values.
+  std::size_t pos_ = 0;
+  std::size_t ready_ = 0;
+};
+
+// Convenience draws over LazyMt64 through libstdc++'s distributions.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull) : gen_(seed) {}
@@ -38,10 +94,8 @@ class Rng {
   // entity / chunk its own stream so insertion order does not perturb draws.
   Rng fork();
 
-  std::mt19937_64& engine() { return gen_; }
-
  private:
-  std::mt19937_64 gen_;
+  LazyMt64 gen_;
 };
 
 // Canonical seed mixer (splitmix64 finalizer): derives a child seed from a

@@ -17,6 +17,7 @@
 #include "engine/chunk_cache.hpp"
 #include "engine/privid.hpp"
 #include "engine/standing.hpp"
+#include "scratch_dir.hpp"
 #include "sim/scenarios.hpp"
 #include "table/slab_io.hpp"
 
@@ -559,12 +560,10 @@ TEST(StandingCache, MalformedTemplateStillThrowsAtAdvance) {
 
 // -------------------------------------------------------- disk tier
 
-// A fresh cache directory under the test's working directory (ctest runs
-// inside the build tree, so nothing leaks outside it).
-std::filesystem::path fresh_cache_dir(const std::string& name) {
-  auto dir = std::filesystem::current_path() / ("privid_cache_" + name);
-  std::filesystem::remove_all(dir);
-  return dir;
+// A fresh cache directory, unique to this process and removed when the
+// returned object goes out of scope (tests/scratch_dir.hpp).
+testutil::ScratchDir fresh_cache_dir(const std::string& name) {
+  return testutil::ScratchDir("privid_cache_" + name);
 }
 
 std::size_t slab_file_count(const std::filesystem::path& dir) {

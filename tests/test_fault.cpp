@@ -24,6 +24,7 @@
 #include "engine/chunk_cache.hpp"
 #include "engine/privid.hpp"
 #include "fault/fault.hpp"
+#include "scratch_dir.hpp"
 #include "service/service.hpp"
 #include "sim/scenarios.hpp"
 
@@ -213,12 +214,10 @@ void expect_releases_identical(const std::vector<Release>& a,
   }
 }
 
-// A fresh cache directory under the test's working directory (ctest runs
-// inside the build tree, so nothing leaks outside it).
-std::filesystem::path fresh_cache_dir(const std::string& name) {
-  auto dir = std::filesystem::current_path() / ("privid_fault_" + name);
-  std::filesystem::remove_all(dir);
-  return dir;
+// A fresh cache directory, unique to this process and removed when the
+// returned object goes out of scope (tests/scratch_dir.hpp).
+testutil::ScratchDir fresh_cache_dir(const std::string& name) {
+  return testutil::ScratchDir("privid_fault_" + name);
 }
 
 DiskTierConfig disk_config(const std::filesystem::path& dir,
@@ -867,13 +866,16 @@ struct TrioOutcome {
 // baseline): alice -> camA, bob -> camB, carol -> camA.
 TrioOutcome run_trio(std::size_t threads, int cache_mode,
                      const std::string& dir_tag, const char* spec) {
+  // Declared before `sys` so the directory outlives its final disk flush.
+  std::optional<testutil::ScratchDir> dir;
   Privid sys = make_system();
   auto& service = sys.configure_service(service_config(
       threads, cache_mode == 0 ? CacheMode::kOff : CacheMode::kShared));
   if (cache_mode == 2) {
     // Small memory tier so the disk tier sees traffic during the run.
     sys.chunk_cache().set_byte_budget(4 << 10);
-    sys.chunk_cache().attach_disk_tier(disk_config(fresh_cache_dir(dir_tag)));
+    dir.emplace("privid_fault_" + dir_tag);
+    sys.chunk_cache().attach_disk_tier(disk_config(*dir));
   }
   std::optional<PlanGuard> guard;
   if (spec != nullptr) guard.emplace(spec);
@@ -951,11 +953,18 @@ TEST_P(FaultChaosEquivalence, CompletedQueriesAreByteIdenticalToFaultFree) {
   }
 }
 
+// 1, 4 and the host's core count (at least 2), each once: on a 4-core host
+// a repeated 4 would register two ctest entries running the same instance.
+std::vector<std::size_t> chaos_thread_counts() {
+  std::vector<std::size_t> counts{1, 4};
+  const std::size_t hw =
+      std::max<std::size_t>(2, std::thread::hardware_concurrency());
+  if (hw != 4) counts.push_back(hw);
+  return counts;
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, FaultChaosEquivalence,
-                         ::testing::Values(std::size_t{1}, std::size_t{4},
-                                           std::size_t{std::max<unsigned>(
-                                               2, std::thread::
-                                                      hardware_concurrency())}));
+                         ::testing::ValuesIn(chaos_thread_counts()));
 
 }  // namespace
 }  // namespace privid

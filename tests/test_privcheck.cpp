@@ -119,6 +119,19 @@ TEST(Privcheck, DeterminismRandomFires) {
   EXPECT_EQ(fs[0].line, 2);
 }
 
+TEST(Privcheck, DeterminismRandomFiresOnSecondEngine) {
+  Report r = run_one("src/sim/evil.cpp",
+                     "#include <random>\n"
+                     "std::mt19937_64 a(1);\n"
+                     "std::mt19937 b(2);\n"
+                     "std::default_random_engine c;\n"
+                     "std::minstd_rand d;\n"
+                     "std::uint64_t mt19937_64_draws = 0;\n");
+  auto fs = active(r, "determinism-random");
+  ASSERT_EQ(fs.size(), 4u);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(fs[i].line, i + 2);
+}
+
 TEST(Privcheck, DeterminismClockFires) {
   Report r = run_one("src/service/evil.cpp",
                      "#include <chrono>\n"
@@ -162,6 +175,10 @@ TEST(Privcheck, DeterminismEnvAllowedInFaultPlane) {
 TEST(Privcheck, DeterminismAllowedInRngAndTimeutil) {
   EXPECT_TRUE(run_one("src/common/rng.cpp",
                       "int f() { return std::random_device{}(); }\n")
+                  .clean());
+  // common/rng.* owns the engine, so it may name the standard ones.
+  EXPECT_TRUE(run_one("src/common/rng.hpp",
+                      "static_assert(sizeof(std::mt19937_64) > 0);\n")
                   .clean());
   EXPECT_TRUE(run_one("src/common/timeutil.cpp",
                       "auto f() { return std::chrono::steady_clock::now(); "

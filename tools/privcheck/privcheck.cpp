@@ -264,6 +264,15 @@ void check_determinism_random(const Ctx& ctx, const Line& ln, int n) {
                    "(common/rng.*) instead");
     }
   }
+  for (const char* sym : {"mt19937", "mt19937_64", "default_random_engine",
+                          "minstd_rand"}) {
+    if (has_identifier(ln.code, sym)) {
+      ctx.emit("determinism-random", n,
+               std::string("second random engine '") + sym +
+                   "' — privid::Rng (common/rng.*) is the one engine; "
+                   "derive its seed with seed_mix instead");
+    }
+  }
 }
 
 void check_determinism_clock(const Ctx& ctx, const Line& ln, int n) {
@@ -583,7 +592,9 @@ std::string rule_catalog() {
       "points + admission\n"
       "exec-output         untrusted ExecOutput only at the sandbox "
       "boundary\n"
-      "determinism-random  rand/srand/random_device outside common/rng.*\n"
+      "determinism-random  rand/srand/random_device and second engines "
+      "(mt19937*, default_random_engine, minstd_rand) outside "
+      "common/rng.*\n"
       "determinism-clock   wall-clock reads outside common/timeutil.* and "
       "src/obs/\n"
       "determinism-env     getenv outside common/rng.*, common/timeutil.*, "
