@@ -1,6 +1,7 @@
 #include "common/rng.hpp"
 
 #include <cmath>
+#include <random>
 
 #include "common/error.hpp"
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <set>
 #include <utility>
 
 #include "common/error.hpp"
@@ -27,7 +26,6 @@ using query::Projection;
 using query::SelectStmt;
 using query::SplitStmt;
 using sensitivity::SensitivityEngine;
-using sensitivity::TableInfo;
 
 Executor::Executor(std::map<std::string, CameraState>* cameras,
                    const ExecutableRegistry* registry, Rng* noise_rng,
@@ -109,20 +107,28 @@ FingerprintBuilder process_fingerprint(const ProcessStmt& p,
   return fp;
 }
 
+// Per-release ε of a SELECT: its CONSUMING clause, else the run default.
+double select_epsilon(const SelectStmt& s, double default_epsilon) {
+  return s.consuming > 0 ? s.consuming : default_epsilon;
+}
+
 // A SELECT's per-frame ledger charge: ε x #aggregate projections x
-// Π|WITH KEYS| (see the header comment). Shared by the run path, the
-// planner and admission so the three can never disagree.
-double select_charge_per_frame(const SelectStmt& s, double default_epsilon) {
-  double eps = s.consuming > 0 ? s.consuming : default_epsilon;
-  std::size_t n_aggs = 0;
+// Π|WITH KEYS| (see the header comment). The last two factors are its
+// same-frame release count, reported through `same_frame_releases`.
+double select_charge_per_frame(const SelectStmt& s, double default_epsilon,
+                               double* same_frame_releases = nullptr) {
+  double n_aggs = 0;
   for (const auto& p : s.core.projections) {
-    if (p.agg) ++n_aggs;
+    if (p.agg) n_aggs += 1;
   }
   double key_product = 1;
   for (const auto& g : s.core.group_by) {
     if (!g.keys.empty()) key_product *= static_cast<double>(g.keys.size());
   }
-  return eps * static_cast<double>(n_aggs) * key_product;
+  if (same_frame_releases != nullptr) {
+    *same_frame_releases = n_aggs * key_product;
+  }
+  return select_epsilon(s, default_epsilon) * n_aggs * key_product;
 }
 
 void collect_table_refs(const query::Relation& rel,
@@ -140,6 +146,47 @@ void collect_table_refs(const query::Relation& rel,
       collect_table_refs(*rel.right, out);
       return;
   }
+}
+
+const BoundTable& bound_table(const std::map<std::string, BoundTable>& tables,
+                              const std::string& name) {
+  auto it = tables.find(name);
+  if (it == tables.end()) throw LookupError("unknown table '" + name + "'");
+  return it->second;
+}
+
+// One SELECT's ledger charges: one CameraCharge per distinct camera its
+// FROM clause reads, in first-reference order, checked over its table's ρ
+// margin. The only place CameraCharges are built — admission
+// (PreparedQuery::admission_charges) and planning (Executor::plan) both
+// price through it, so they can never disagree.
+std::vector<CameraCharge> select_charges(
+    const SelectStmt& s, double default_epsilon,
+    const std::map<std::string, BoundTable>& tables,
+    const std::map<std::string, CameraState>& cameras) {
+  const double charge = select_charge_per_frame(s, default_epsilon);
+  std::vector<std::string> refs;
+  collect_table_refs(*s.core.from, &refs);
+  std::vector<CameraCharge> out;
+  for (const auto& ref : refs) {
+    const BoundTable& bt = bound_table(tables, ref);
+    const bool seen =
+        std::any_of(out.begin(), out.end(), [&](const CameraCharge& c) {
+          return c.camera == bt.camera;
+        });
+    if (seen) continue;
+    const FrameIndex margin =
+        to_frames_round(bt.info.policy.rho, cameras.at(bt.camera).meta.fps);
+    out.push_back(CameraCharge{bt.camera, bt.frames, margin, charge});
+  }
+  return out;
+}
+
+SensitivityEngine sensitivity_over(
+    const std::map<std::string, BoundTable>& tables) {
+  return SensitivityEngine([&tables](const std::string& name) {
+    return bound_table(tables, name).info;
+  });
 }
 
 }  // namespace
@@ -215,23 +262,7 @@ PreparedQuery Executor::prepare(const ParsedQuery& q, const RunOptions& opts) {
   pq.opts_ = opts;
   pq.opts_.cache = resolve_cache_mode(opts.cache);
   pq.inflight_ = inflight_;
-
-  // Resolve the cache serving this run. kPerQuery deduplicates only within
-  // the query (several PROCESS statements over the same chunk set) and is
-  // discarded with the run.
-  switch (pq.opts_.cache) {
-    case CacheMode::kOff:
-      break;
-    case CacheMode::kShared:
-      pq.cache_ = shared_cache_;
-      break;
-    case CacheMode::kPerQuery:
-      pq.per_query_cache_ = std::make_unique<ChunkCache>();
-      pq.cache_ = pq.per_query_cache_.get();
-      break;
-    case CacheMode::kDefault:
-      break;  // unreachable: resolve_cache_mode never returns kDefault
-  }
+  if (pq.opts_.cache == CacheMode::kShared) pq.cache_ = shared_cache_;
   pq.before_ = pq.cache_ ? pq.cache_->stats() : CacheStats{};
 
   // Bind SPLITs by chunk-set name and resolve one phase per PROCESS.
@@ -359,9 +390,8 @@ ColumnSlab PreparedQuery::run_task(std::size_t phase, std::size_t task) const {
         };
         if (!inflight_->run(key, compute_in_flight, &slab) &&
             cache_ != nullptr) {
-          // Follower: the leader inserted into *its* cache inside compute;
-          // if ours is a different one (per-query mode), remember the slab
-          // here too. In shared mode this merely refreshes recency.
+          // Follower: the leader already inserted the slab into the shared
+          // cache inside compute; this insert merely refreshes recency.
           cache_->insert(key, slab);
         }
       } else {
@@ -432,21 +462,9 @@ void PreparedQuery::assemble(std::size_t phase,
 std::vector<CameraCharge> PreparedQuery::admission_charges() const {
   std::vector<CameraCharge> out;
   for (const auto& s : q_->selects) {
-    double charge = select_charge_per_frame(s, opts_.default_epsilon);
-    std::vector<std::string> refs;
-    collect_table_refs(*s.core.from, &refs);
-    std::set<std::string> seen;
-    for (const auto& ref : refs) {
-      auto it = tables_.find(ref);
-      if (it == tables_.end()) {
-        throw LookupError("unknown table '" + ref + "'");
-      }
-      const BoundTable& bt = it->second;
-      if (!seen.insert(bt.camera).second) continue;
-      const CameraState& cam = cameras_->at(bt.camera);
-      FrameIndex margin = to_frames_round(bt.info.policy.rho, cam.meta.fps);
-      out.push_back(CameraCharge{bt.camera, bt.frames, margin, charge});
-    }
+    std::vector<CameraCharge> charges =
+        select_charges(s, opts_.default_epsilon, tables_, *cameras_);
+    out.insert(out.end(), charges.begin(), charges.end());
   }
   return out;
 }
@@ -478,48 +496,13 @@ QueryResult PreparedQuery::finish() {
 }
 
 void PreparedQuery::run_select(const SelectStmt& s, QueryResult* out) {
-  // Covers sensitivity analysis, ledger charge, relational evaluation and
-  // the noisy release — the span observes the release path but its timing
-  // never feeds it (see src/obs/ and the privcheck obs-timing rule).
+  // Covers sensitivity analysis, relational evaluation and the noisy
+  // release — the span observes the release path but its timing never
+  // feeds it (see src/obs/ and the privcheck obs-timing rule).
   obs::Span span("query.select", "engine");
   const RunOptions& opts = opts_;
-  // Sensitivity over the AST.
-  SensitivityEngine sens([&](const std::string& name) -> TableInfo {
-    auto it = tables_.find(name);
-    if (it == tables_.end()) throw LookupError("unknown table '" + name + "'");
-    return it->second.info;
-  });
-
-  double eps = s.consuming > 0 ? s.consuming : opts.default_epsilon;
-  // Same-frame releases (aggregate projections x declared keys) priced by
-  // the shared helper, so run/plan/admission charge identically.
-  double charge = select_charge_per_frame(s, opts.default_epsilon);
-
-  // Budget check + charge, per involved camera (Alg. 1 lines 1-5).
-  std::vector<std::string> refs;
-  collect_table_refs(*s.core.from, &refs);
-  std::set<std::string> seen_cameras;
-  if (opts.charge_budget) {
-    struct Charge {
-      BudgetLedger* ledger;
-      FrameInterval frames;
-      FrameIndex margin;
-    };
-    std::vector<Charge> charges;
-    for (const auto& ref : refs) {
-      const BoundTable& bt = tables_.at(ref);
-      if (!seen_cameras.insert(bt.camera).second) continue;
-      CameraState& cam = cameras_->at(bt.camera);
-      FrameIndex margin = to_frames_round(bt.info.policy.rho, cam.meta.fps);
-      if (!cam.ledger->can_charge(bt.frames, margin, charge)) {
-        throw BudgetError("query denied: camera '" + bt.camera +
-                          "' lacks budget for epsilon " +
-                          std::to_string(charge));
-      }
-      charges.push_back({cam.ledger.get(), bt.frames, margin});
-    }
-    for (auto& c : charges) c.ledger->charge(c.frames, c.margin, charge);
-  }
+  const SensitivityEngine sens = sensitivity_over(tables_);
+  const double eps = select_epsilon(s, opts.default_epsilon);
 
   // Evaluate the outer input table (FROM + WHERE + LIMIT).
   TableMap tmap;
@@ -665,35 +648,24 @@ QueryPlan Executor::plan(const ParsedQuery& q, const RunOptions& opts) const {
   std::map<std::string, const SplitStmt*> splits;
   for (const auto& s : q.splits) splits[s.into] = &s;
 
-  // Table facts from split arithmetic only.
-  struct PlannedTable {
-    sensitivity::TableInfo info;
-    std::string camera;
-    FrameInterval frames;
-    sensitivity::Policy policy;
-  };
-  std::map<std::string, PlannedTable> tables;
+  // Table facts from split arithmetic only: no chunk is enumerated and no
+  // table is materialised.
+  std::map<std::string, BoundTable> tables;
   for (const auto& p : q.processes) {
     const SplitStmt* s = splits.at(p.chunk_set);
     ResolvedSplit rs = resolve_split(*s);
-    tables.emplace(p.into, PlannedTable{table_info(p, *s, rs), s->camera,
-                                        rs.frames, rs.policy});
+    tables.emplace(p.into,
+                   BoundTable{Table(), table_info(p, *s, rs), s->camera,
+                              rs.frames});
   }
-
-  SensitivityEngine sens([&](const std::string& name) -> TableInfo {
-    auto it = tables.find(name);
-    if (it == tables.end()) throw LookupError("unknown table '" + name + "'");
-    return it->second.info;
-  });
+  const SensitivityEngine sens = sensitivity_over(tables);
 
   QueryPlan out;
   for (const auto& sel : q.selects) {
     SelectPlan sp;
-    double eps = sel.consuming > 0 ? sel.consuming : opts.default_epsilon;
-    std::size_t n_aggs = 0;
+    const double eps = select_epsilon(sel, opts.default_epsilon);
     for (const auto& p : sel.core.projections) {
       if (!p.agg) continue;
-      ++n_aggs;
       ReleasePlan rp;
       rp.label = p.output_name();
       rp.epsilon = eps;
@@ -701,25 +673,13 @@ QueryPlan Executor::plan(const ParsedQuery& q, const RunOptions& opts) const {
       rp.noise_scale = eps > 0 ? rp.sensitivity / eps : 0.0;
       sp.releases.push_back(std::move(rp));
     }
-    double key_product = 1;
-    for (const auto& g : sel.core.group_by) {
-      if (!g.keys.empty()) key_product *= static_cast<double>(g.keys.size());
-    }
-    sp.same_frame_releases = static_cast<double>(n_aggs) * key_product;
-    sp.charge_per_frame = select_charge_per_frame(sel, opts.default_epsilon);
-
-    std::vector<std::string> refs;
-    collect_table_refs(*sel.core.from, &refs);
-    std::set<std::string> seen;
-    for (const auto& ref : refs) {
-      const PlannedTable& pt = tables.at(ref);
-      if (!seen.insert(pt.camera).second) continue;
-      sp.cameras.push_back(pt.camera);
-      const CameraState& cam = cameras_->at(pt.camera);
-      FrameIndex margin = to_frames_round(pt.policy.rho, cam.meta.fps);
-      sp.charges.push_back(
-          CameraCharge{pt.camera, pt.frames, margin, sp.charge_per_frame});
-      if (!cam.ledger->can_charge(pt.frames, margin, sp.charge_per_frame)) {
+    sp.charge_per_frame = select_charge_per_frame(sel, opts.default_epsilon,
+                                                  &sp.same_frame_releases);
+    sp.charges = select_charges(sel, opts.default_epsilon, tables, *cameras_);
+    for (const auto& c : sp.charges) {
+      sp.cameras.push_back(c.camera);
+      if (!cameras_->at(c.camera).ledger->can_charge(c.frames, c.margin,
+                                                     c.epsilon)) {
         sp.admissible = false;
       }
     }
@@ -729,9 +689,8 @@ QueryPlan Executor::plan(const ParsedQuery& q, const RunOptions& opts) const {
   return out;
 }
 
-QueryResult Executor::run(const ParsedQuery& q, const RunOptions& opts) {
-  PreparedQuery pq = prepare(q, opts);
-  std::size_t n_threads = ThreadPool::resolve_threads(opts.num_threads);
+QueryResult Executor::run(PreparedQuery& pq) {
+  std::size_t n_threads = ThreadPool::resolve_threads(pq.opts_.num_threads);
   for (std::size_t phase = 0; phase < pq.phase_count(); ++phase) {
     const std::size_t n_tasks = pq.task_count(phase);
     std::vector<ColumnSlab> slots(n_tasks);

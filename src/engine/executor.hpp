@@ -6,24 +6,27 @@
 //      the sandbox, assembling the untrusted intermediate table with the
 //      trusted `chunk` (and `region`, `camera`) columns appended
 //   3. SELECT — validate, compute per-release sensitivity on the AST
-//      (Fig. 10), check & charge the per-frame budget ledger
-//      (lines 1-5), evaluate the raw aggregate, add Laplace noise
-//      (line 13), and emit the releases
+//      (Fig. 10), evaluate the raw aggregate, add Laplace noise (line 13),
+//      and emit the releases
 //
 // Budget accounting: a SELECT's charge per frame is
 //     ε_release x (#aggregate projections) x Π|WITH KEYS|
 // Releases grouped over *trusted* chunk bins partition the window in time,
 // so they share one charge (the Theorem E.2 cross-bin argument); releases
 // keyed by analyst columns all cover the same frames and therefore add.
+// The executor only prices these charges (PreparedQuery::admission_charges,
+// QueryPlan::selects[i].charges); it never changes a ledger. The callers —
+// Privid::execute and QueryService::submit — reserve the whole query's
+// charges through service::AdmissionController before any PROCESS work
+// (Algorithm 1 lines 1-5), commit on success and refund on failure.
 //
-// Two entry points share the same machinery:
-//   - run() executes a query synchronously (fanning the PROCESS phase over
-//     the thread pool when RunOptions::num_threads > 1);
-//   - prepare() exposes the task-granular pipeline — a PreparedQuery whose
-//     chunk-level tasks an external scheduler (service/scheduler.hpp) can
-//     interleave with other queries' tasks. run() is exactly
-//     prepare + run every task + assemble + finish, so the two paths
-//     produce byte-identical releases, sensitivities and ledger charges.
+// prepare() decomposes a query into chunk-level tasks (a PreparedQuery)
+// that an external scheduler (service/scheduler.hpp) can interleave with
+// other queries' tasks; run() drives one prepared query to completion on
+// the calling thread (fanning the PROCESS phase over the thread pool when
+// RunOptions::num_threads > 1). Both paths run the same tasks, assemble in
+// the same order and finish identically, so they produce byte-identical
+// releases and sensitivities.
 #pragma once
 
 #include <map>
@@ -76,10 +79,10 @@ struct RunOptions {
   // an owner-side evaluation hook (the analyst never sees them); every
   // bench uses it to compute the paper's accuracy metrics.
   bool reveal_raw = false;
-  // Skip the budget ledger (owner-side what-if runs, e.g. parameter
-  // sweeps). Analyst-facing deployments keep this true. The query service
-  // also clears it on the execution path — admission control charges the
-  // full query cost at submit time instead (service/admission.hpp).
+  // false skips admission: the query is neither checked against nor
+  // charged to any ledger (owner-side what-if runs, e.g. parameter
+  // sweeps). Analyst-facing deployments keep this true. Read only by the
+  // entry points that admit (Privid::execute, QueryService::submit).
   bool charge_budget = true;
   // PROCESS-phase parallelism: chunk x region sandbox invocations fan out
   // across this many threads. 0 = all hardware threads, 1 = the sequential
@@ -89,11 +92,10 @@ struct RunOptions {
   std::size_t num_threads = 1;
   // Chunk-output caching (see engine/chunk_cache.hpp): kOff recomputes
   // every chunk, kShared consults the executor's shared cache (the Privid
-  // facade passes its process-wide one), kPerQuery uses a throwaway cache
-  // that only deduplicates within this query (identical chunk sets feeding
-  // several PROCESS statements). kDefault resolves from the PRIVID_CACHE
-  // env var, off when unset. Caching never changes results: releases,
-  // sensitivities and budget charges are byte-identical in every mode.
+  // facade passes its process-wide one). kDefault resolves from the
+  // PRIVID_CACHE env var, off when unset. Caching never changes results:
+  // releases, sensitivities and budget charges are byte-identical in every
+  // mode.
   CacheMode cache = CacheMode::kDefault;
   // Bounded retry for *transient* per-task failures (TransientError:
   // sandbox-worker startup death, single-flight leader crash — not
@@ -148,7 +150,7 @@ struct ReleasePlan {
 };
 
 // The ledger charge one SELECT makes against one camera — the unit the
-// admission controller reserves at submit time and refunds on abort.
+// admission controller reserves before a query runs and refunds on abort.
 struct CameraCharge {
   std::string camera;
   FrameInterval frames;   // charged interval (camera frame space)
@@ -164,9 +166,9 @@ struct SelectPlan {
   double charge_per_frame = 0;
   std::vector<std::string> cameras;
   // The concrete ledger charges this SELECT would make, one per distinct
-  // camera — exactly what Executor::run charges, so reserving these at
-  // admission time and running with charge_budget = false leaves the
-  // ledger byte-identical to a direct run.
+  // camera — built by the function PreparedQuery::admission_charges uses,
+  // so reserving these leaves the ledger byte-identical to admitting and
+  // running the query.
   std::vector<CameraCharge> charges;
   bool admissible = true;              // budget check at plan time
 };
@@ -213,8 +215,9 @@ class Executor;
 // rows. assemble appends slot outputs in sequential task order, which is
 // what makes the final table — and everything derived from it — byte-
 // identical to a sequential run. finish runs the SELECT phase: sensitivity,
-// budget (when opts.charge_budget), aggregation and noise from the Rng the
-// executor was built with.
+// aggregation and noise from the Rng the executor was built with. Nothing
+// here touches a ledger: the caller reserves admission_charges() before the
+// first task and settles the reservation after finish.
 //
 // Lifetimes: the ParsedQuery, camera map, registry, rng, caches and
 // single-flight registry passed to the Executor must outlive this object.
@@ -244,10 +247,9 @@ class PreparedQuery {
   QueryResult finish();
 
   // The ledger charges admission control must reserve for this query: one
-  // CameraCharge per (SELECT, distinct camera) in execution order —
-  // byte-for-byte what finish() charges when opts.charge_budget is set,
-  // computed from the already-resolved phases (no second SPLIT
-  // resolution or sensitivity pass).
+  // CameraCharge per (SELECT, distinct camera) in SELECT order, computed
+  // from the already-resolved phases (no second SPLIT resolution or
+  // sensitivity pass) by the function Executor::plan prices with.
   std::vector<CameraCharge> admission_charges() const;
 
  private:
@@ -284,9 +286,8 @@ class PreparedQuery {
   std::map<std::string, CameraState>* cameras_ = nullptr;
   Rng* noise_rng_ = nullptr;
   const query::ParsedQuery* q_ = nullptr;
-  RunOptions opts_;                              // cache mode resolved
-  ChunkCache* cache_ = nullptr;                  // null when uncached
-  std::unique_ptr<ChunkCache> per_query_cache_;  // owns kPerQuery storage
+  RunOptions opts_;  // cache mode resolved
+  ChunkCache* cache_ = nullptr;  // null when uncached
   SingleFlight* inflight_ = nullptr;
   CacheStats before_;
   std::vector<Phase> phases_;
@@ -298,8 +299,7 @@ class Executor {
   // `pool` (optional, non-owning) serves RunOptions::num_threads > 1; when
   // null every query runs on the calling thread regardless of the option.
   // `shared_cache` (optional, non-owning) serves CacheMode::kShared; when
-  // null a kShared run degrades to uncached (kPerQuery still works — the
-  // executor owns that cache for the duration of the run).
+  // null a kShared run degrades to uncached.
   // `inflight` (optional, non-owning) single-flights identical chunk tasks
   // across concurrent queries sharing the registry (the query service
   // passes one per service); when null every miss computes.
@@ -308,12 +308,14 @@ class Executor {
            ThreadPool* pool = nullptr, ChunkCache* shared_cache = nullptr,
            SingleFlight* inflight = nullptr);
 
-  QueryResult run(const query::ParsedQuery& q, const RunOptions& opts);
-
   // Decomposes the query into chunk-level tasks without running any (see
-  // PreparedQuery). Validates and resolves every SPLIT up front, so the
-  // same failures run() would hit during PROCESS surface here instead.
+  // PreparedQuery). Validates and resolves every SPLIT up front, so lookup
+  // and validation failures surface before admission or PROCESS.
   PreparedQuery prepare(const query::ParsedQuery& q, const RunOptions& opts);
+
+  // Runs every task of `pq` (built by this executor's prepare), assembles
+  // each phase and finishes.
+  QueryResult run(PreparedQuery& pq);
 
   // Validates and costs the query without executing it (see QueryPlan).
   QueryPlan plan(const query::ParsedQuery& q, const RunOptions& opts) const;

@@ -143,7 +143,17 @@ ThreadPool* Privid::pool_for_locked(std::size_t num_threads) {
 QueryResult Privid::execute(const query::ParsedQuery& q, RunOptions opts) {
   Executor exec(&cameras_, &registry_, &noise_rng_, pool_for(opts.num_threads),
                 cache_.get());
-  return exec.run(q, opts);
+  // The service's admission sequence, on the caller's thread: prepare,
+  // reserve every charge before PROCESS, run, commit. A throw anywhere
+  // after the reservation refunds it (~Reservation).
+  PreparedQuery pq = exec.prepare(q, opts);
+  service::Reservation reservation;
+  if (opts.charge_budget) {
+    reservation = admission_.reserve(pq.admission_charges());
+  }
+  QueryResult result = exec.run(pq);
+  reservation.commit();
+  return result;
 }
 
 QueryPlan Privid::plan(const std::string& query_text, RunOptions opts) const {
@@ -184,9 +194,10 @@ service::QueryService& Privid::service() {
     service::QueryService::Config config;
     config.noise_seed = noise_seed_;
     // Lend the facade's pool so execute() and the service share one set
-    // of workers (ROADMAP: one engine pool, not one per subsystem).
+    // of workers (ROADMAP: one engine pool, not one per subsystem), and
+    // its admission controller so both paths reserve under one lock.
     service_ = std::make_unique<service::QueryService>(
-        &cameras_, &registry_, cache_.get(), config,
+        &cameras_, &registry_, cache_.get(), &admission_, config,
         pool_for_locked(config.num_threads));
   }
   return *service_;
@@ -201,7 +212,7 @@ service::QueryService& Privid::configure_service(
   }
   if (config.noise_seed == 0) config.noise_seed = noise_seed_;
   service_ = std::make_unique<service::QueryService>(
-      &cameras_, &registry_, cache_.get(), config,
+      &cameras_, &registry_, cache_.get(), &admission_, config,
       pool_for_locked(config.num_threads));
   return *service_;
 }

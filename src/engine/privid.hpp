@@ -75,7 +75,11 @@ class Privid {
 
   bool has_camera(const std::string& id) const;
 
-  // Parses, validates and executes a query. Throws ParseError /
+  // Parses, validates and executes a query on the calling thread. The
+  // query's full budget cost is reserved through the same admission
+  // controller the service uses before any PROCESS work (BudgetError, with
+  // nothing charged, when it does not fit), committed when the releases
+  // are ready and refunded if the run throws. Throws ParseError /
   // ValidationError / SensitivityError / BudgetError per failure class.
   QueryResult execute(const std::string& query_text, RunOptions opts = {});
   QueryResult execute(const query::ParsedQuery& q, RunOptions opts = {});
@@ -83,8 +87,9 @@ class Privid {
   // Dry run: validates the query, computes per-release sensitivity / noise
   // scale and checks admissibility against the current ledgers — without
   // processing a single chunk or consuming budget. Each SELECT is checked
-  // against the current state (a multi-SELECT query may still be denied
-  // mid-execution if its own earlier releases deplete the budget).
+  // against the current state on its own, so a multi-SELECT query whose
+  // SELECTs fit only one at a time plans admissible yet is rejected by
+  // admission, which reserves its SELECTs cumulatively.
   QueryPlan plan(const std::string& query_text, RunOptions opts = {}) const;
   QueryPlan plan(const query::ParsedQuery& q, RunOptions opts = {}) const;
 
@@ -181,6 +186,10 @@ class Privid {
   std::uint64_t noise_seed_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<ChunkCache> cache_;
+  // The one admission controller over cameras_: execute() reserves through
+  // it and the service borrows it. Bound by its initializer, so a moved-to
+  // facade gets a fresh controller over its own map.
+  service::AdmissionController admission_{&cameras_};
   mutable std::mutex service_mu_;  // guards service_ creation and pool_
                                    // create/replace decisions
   std::unique_ptr<service::QueryService> service_;

@@ -45,16 +45,13 @@ class BudgetLedger {
   bool can_charge(FrameInterval interval, FrameIndex margin,
                   double epsilon) const;
 
-  // Charges `epsilon` to every frame in `interval` (no margin). Throws
-  // BudgetError if can_charge would be false — callers must check first,
-  // but the ledger re-verifies to keep the invariant unconditional.
-  void charge(FrameInterval interval, FrameIndex margin, double epsilon);
-
-  // Atomic check-and-charge: charges `epsilon` to `interval` and returns
+  // Atomic check-and-charge, and the only way ε enters the ledger:
+  // charges `epsilon` to every frame in `interval` (no margin) and returns
   // true iff the widened interval had it to give; otherwise the ledger is
-  // untouched and the call returns false instead of throwing. This is the
-  // admission-control primitive — unlike can_charge-then-charge it cannot
-  // lose a race between the check and the charge.
+  // untouched and the call returns false. Its one caller is admission
+  // control (service/admission.cpp); because the check and the charge
+  // share one critical section, two racing reservations cannot both spend
+  // the same ε.
   bool try_reserve(FrameInterval interval, FrameIndex margin, double epsilon);
 
   // Exactly reverses a prior charge of `epsilon` over `interval` (the

@@ -123,12 +123,4 @@ Reservation AdmissionController::reserve(
   return res;
 }
 
-Reservation AdmissionController::reserve(const engine::QueryPlan& plan) {
-  std::vector<engine::CameraCharge> charges;
-  for (const auto& sp : plan.selects) {
-    charges.insert(charges.end(), sp.charges.begin(), sp.charges.end());
-  }
-  return reserve(charges);
-}
-
 }  // namespace privid::service

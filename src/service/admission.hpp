@@ -1,20 +1,19 @@
-// Admission control: atomic budget reservation at submit time.
+// Admission control: atomic budget reservation before a query runs.
 //
-// The facade's synchronous path charges the ledger per SELECT *during*
-// execution (Algorithm 1 lines 1-5), so a multi-SELECT query can fail
-// halfway — earlier releases already paid for, later ones denied. The
-// query service rejects at the door instead: at submit time the admission
+// Every query — synchronous Privid::execute, standing periods and
+// QueryService::submit alike — is admitted here, through the one
+// controller the Privid facade owns. Before any PROCESS work the
 // controller reserves every SELECT's ledger charge atomically (all
 // cameras, all SELECTs, under one lock), so an admitted query can never
 // die of budget mid-run and a denied one has touched nothing.
 //
-// A reservation *is* the charge — Executor::plan computes the exact
-// (camera, frames, margin, ε) tuples that a direct run would charge, so
-// after reserve the ledger is byte-identical to a completed direct run of
-// the same query. The executed query then runs with charge_budget off.
-// Commit simply disarms the refund; refund — on abort (sandbox crash,
-// SELECT-time failure) — exactly reverses the charges, exactly once, no
-// matter how many paths race to report the failure.
+// A reservation *is* the charge: the (camera, frames, margin, ε) tuples
+// come from PreparedQuery::admission_charges, and the executor itself
+// never touches a ledger, so this file holds the only call that puts ε
+// into one (BudgetLedger::try_reserve). Commit simply disarms the refund;
+// refund — on abort (sandbox crash, SELECT-time failure) — exactly
+// reverses the charges, exactly once, no matter how many paths race to
+// report the failure.
 #pragma once
 
 #include <map>
@@ -79,10 +78,8 @@ class AdmissionController {
   // as before the call. Thread-safe: concurrent reservations serialize,
   // so rejecting is race-free even when two analysts contend for the
   // last ε of one camera. The charge list comes from
-  // PreparedQuery::admission_charges() (the service path) or a QueryPlan
-  // (planning tools) — both price identically.
+  // PreparedQuery::admission_charges().
   Reservation reserve(const std::vector<engine::CameraCharge>& charges);
-  Reservation reserve(const engine::QueryPlan& plan);
 
  private:
   std::map<std::string, engine::CameraState>* cameras_;

@@ -20,13 +20,15 @@ const std::string& QueryTicket::analyst() const {
 
 QueryService::QueryService(std::map<std::string, engine::CameraState>* cameras,
                            const engine::ExecutableRegistry* registry,
-                           engine::ChunkCache* shared_cache, Config config,
+                           engine::ChunkCache* shared_cache,
+                           AdmissionController* admission, Config config,
                            ThreadPool* shared_pool)
     : cameras_(cameras), registry_(registry), shared_cache_(shared_cache),
       config_(config), cache_mode_(engine::resolve_cache_mode(config.cache)),
-      sessions_(config.noise_seed), admission_(cameras) {
-  if (!cameras || !registry) {
-    throw ArgumentError("QueryService requires cameras and registry");
+      sessions_(config.noise_seed), admission_(admission) {
+  if (!cameras || !registry || !admission) {
+    throw ArgumentError(
+        "QueryService requires cameras, registry and admission controller");
   }
   std::size_t threads = ThreadPool::resolve_threads(config_.num_threads);
   if (threads > 1) {
@@ -106,9 +108,6 @@ QueryTicket QueryService::submit(const std::string& analyst,
 
   engine::RunOptions exec_opts = opts;
   exec_opts.cache = cache_mode_;  // service policy overrides the caller's
-  // The run itself never touches the ledger: admission charges the full
-  // plan-computed cost below (or the owner opted out via charge_budget).
-  exec_opts.charge_budget = false;
 
   // Decompose first (validates and resolves everything), then admit — a
   // malformed query must not briefly hold budget.
@@ -117,7 +116,8 @@ QueryTicket QueryService::submit(const std::string& analyst,
 
   if (opts.charge_budget) {
     try {
-      job->reservation = admission_.reserve(job->prepared->admission_charges());
+      job->reservation =
+          admission_->reserve(job->prepared->admission_charges());
     } catch (const BudgetError&) {
       session.record_rejected();
       c_rejected_->add();

@@ -7,7 +7,8 @@
 //
 //   - per-analyst sessions (service/session.hpp): fair-share weight, a
 //     private deterministic noise stream per query, accounting;
-//   - admission control (service/admission.hpp): the full query cost is
+//   - admission control (service/admission.hpp, through the facade's
+//     controller that Privid::execute also uses): the full query cost is
 //     reserved against every involved camera's ledger atomically at
 //     submit; insufficient budget rejects at the door (BudgetError from
 //     submit) instead of failing mid-run, and an admitted query that
@@ -24,10 +25,10 @@
 // byte-identical whether it runs alone or amid arbitrary concurrent load,
 // at any thread count. Releases depend only on (service seed, analyst id,
 // the analyst's submission ordinal) and the query itself; ledger charges
-// are the plan-computed amounts a direct Privid::execute would have
-// charged. Note the service's noise streams intentionally differ from
-// Privid::execute's process-wide stream — a shared sequential stream is
-// exactly what cannot be deterministic under concurrency.
+// are the same reservation a direct Privid::execute makes. Note the
+// service's noise streams intentionally differ from Privid::execute's
+// process-wide stream — a shared sequential stream is exactly what cannot
+// be deterministic under concurrency.
 #pragma once
 
 #include <cstdint>
@@ -82,21 +83,19 @@ class QueryService {
     std::size_t shutdown_grace_ms = 30000;
   };
 
-  // Non-owning views into the owner's registrations; all must outlive the
-  // service. `shared_cache` may be null (kShared degrades to uncached).
-  // `shared_pool` (optional, non-owning, must outlive the service) lets
-  // the facade lend its own worker pool so facade and service don't carry
-  // two full-size pools; when null and num_threads resolves > 1 the
-  // service owns one.
+  // Constructed by the Privid facade, which lends its registrations and
+  // its admission controller; all must outlive the service. Sharing the
+  // facade's controller means a synchronous execute() and a submitted
+  // query reserve under one lock. `shared_cache` may be null (kShared
+  // degrades to uncached). `shared_pool` (optional, non-owning, must
+  // outlive the service) lets the facade lend its own worker pool so
+  // facade and service don't carry two full-size pools; when null and
+  // num_threads resolves > 1 the service owns one.
   QueryService(std::map<std::string, engine::CameraState>* cameras,
                const engine::ExecutableRegistry* registry,
-               engine::ChunkCache* shared_cache, Config config,
+               engine::ChunkCache* shared_cache,
+               AdmissionController* admission, Config config,
                ThreadPool* shared_pool = nullptr);
-  // Default config (all hardware threads, PRIVID_CACHE-resolved caching).
-  QueryService(std::map<std::string, engine::CameraState>* cameras,
-               const engine::ExecutableRegistry* registry,
-               engine::ChunkCache* shared_cache)
-      : QueryService(cameras, registry, shared_cache, Config{}) {}
   ~QueryService();  // drains every in-flight query first
 
   QueryService(const QueryService&) = delete;
@@ -170,7 +169,7 @@ class QueryService {
 
   std::shared_mutex owner_mu_;
   SessionRegistry sessions_;
-  AdmissionController admission_;
+  AdmissionController* admission_;
   engine::SingleFlight inflight_;
   std::unique_ptr<ThreadPool> owned_pool_;  // only when no pool was lent
   ThreadPool* pool_ = nullptr;  // null when num_threads resolves to 1

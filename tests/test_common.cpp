@@ -2,6 +2,7 @@
 // statistics helpers.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 
 #include "common/error.hpp"

@@ -2,8 +2,10 @@
 // executor, budget accounting, masks/regions, and the Privid facade.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -433,18 +435,27 @@ TEST(Budgeting, DisjointWindowsHaveSeparateBudgets) {
 
 TEST(Executor, MultiSelectChargesSequentially) {
   // Two SELECTs in one query are separate data releases: each consumes its
-  // own epsilon from the same frames.
+  // own epsilon from the same frames, so admission reserves them
+  // cumulatively.
   Privid sys = make_system(3, 10, 1, /*budget=*/1.5);
+  auto runs = std::make_shared<std::atomic<int>>(0);
+  sys.register_executable("counted",
+                          [runs, count = counting_exe()](const ChunkView& v) {
+                            runs->fetch_add(1);
+                            return count(v);
+                          });
   const char* q =
       "SPLIT cam BEGIN 0 END 60 BY TIME 5 STRIDE 0 INTO c;"
-      "PROCESS c USING count TIMEOUT 1 PRODUCING 3 ROWS "
+      "PROCESS c USING counted TIMEOUT 1 PRODUCING 3 ROWS "
       "WITH SCHEMA (seen:NUMBER=0) INTO t;"
       "SELECT COUNT(*) FROM t CONSUMING 1.0;"
       "SELECT COUNT(seen) FROM t CONSUMING 1.0;";
-  // Second SELECT exceeds the remaining 0.5: whole query denied mid-way —
-  // the first release was already charged.
+  // The two SELECTs need 2.0 of the 1.5 budget: the whole query is
+  // rejected before PROCESS — no chunk runs and nothing is charged, not
+  // even the first SELECT that would fit on its own.
   EXPECT_THROW(sys.execute(q), BudgetError);
-  EXPECT_DOUBLE_EQ(sys.remaining_budget("cam", 100), 0.5);
+  EXPECT_DOUBLE_EQ(sys.remaining_budget("cam", 100), 1.5);
+  EXPECT_EQ(runs->load(), 0);
 }
 
 TEST(Executor, OverlappingStrideProcessesEveryChunk) {

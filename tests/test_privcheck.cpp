@@ -99,6 +99,24 @@ TEST(Privcheck, PrivacyLedgerFiresOutsideAdmission) {
   EXPECT_EQ(fs[1].line, 3);
 }
 
+TEST(Privcheck, PrivacyLedgerFiresInTheExecutor) {
+  // The executor prices charges but never books them: admission is the one
+  // charge site, so a reservation in a release point is a finding too.
+  Report r = run_one("src/engine/executor.cpp",
+                     "bool f(privid::BudgetLedger* led) {\n"
+                     "  return led->try_reserve({0, 10}, 0, 1.0);\n"
+                     "}\n");
+  auto fs = active(r, "privacy-ledger");
+  ASSERT_EQ(fs.size(), 1u);
+  EXPECT_EQ(fs[0].line, 2);
+  EXPECT_TRUE(active(run_one("src/service/admission.cpp",
+                             "bool f(privid::BudgetLedger* led) {\n"
+                             "  return led->try_reserve({0, 10}, 0, 1.0);\n"
+                             "}\n"),
+                     "privacy-ledger")
+                  .empty());
+}
+
 TEST(Privcheck, ExecOutputFiresOutsideSandboxBoundary) {
   Report r = run_one("src/engine/evil.cpp",
                      "#include \"engine/sandbox.hpp\"\n"

@@ -8,7 +8,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <memory>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -205,17 +207,98 @@ TEST(ServiceFairShare, IdleLaneReentersAtVirtualTimeNotZero) {
 
 // ---------------------------------------------------------- admission
 
-TEST(ServiceAdmission, ReservationChargesExactlyWhatADirectRunCharges) {
-  Privid direct = make_system();
-  direct.execute(probe_query("camA"));
-  const std::string direct_ledger = ledger_bytes(direct, "camA");
+// A query shape whose ledger charges the three pricings must agree on.
+struct ChargeShape {
+  const char* name;
+  std::string query;
+  FrameIndex margin;  // ρ widening of every charge, frames at 10 fps
+};
 
+void PrintTo(const ChargeShape& shape, std::ostream* os) { *os << shape.name; }
+
+// make_system() plus a mask on camA whose ρ (4 s) differs from the
+// camera's (10 s), so a masked split's charges widen by the mask's ρ.
+Privid shape_system() {
   Privid sys = make_system();
+  Mask strip(1280, 720, 64, 36);
+  strip.mask_box(Box{0, 0, 1280, 120});
+  sys.register_mask("camA", "strip", engine::MaskEntry{strip, {4.0, 1}});
+  return sys;
+}
+
+class AdmissionShape : public ::testing::TestWithParam<ChargeShape> {};
+
+// The ledger after a synchronous execute(), after submit + wait, and after
+// reserving the plan's charges on fresh ledgers must be byte-identical.
+TEST_P(AdmissionShape, ReservationChargesExactlyWhatADirectRunCharges) {
+  const ChargeShape& shape = GetParam();
+  Privid direct = shape_system();
+  const std::string pristine = ledger_bytes(direct, "camA");
+  const engine::QueryPlan plan = direct.plan(shape.query);
+  direct.execute(shape.query);
+  EXPECT_NE(ledger_bytes(direct, "camA"), pristine);
+
+  Privid sys = shape_system();
   auto& service =
       sys.configure_service(service_config(1, engine::CacheMode::kOff));
-  service.wait(service.submit("alice", probe_query("camA")));
-  EXPECT_EQ(ledger_bytes(sys, "camA"), direct_ledger);
+  service.wait(service.submit("alice", shape.query));
+
+  std::map<std::string, BudgetLedger> planned;
+  for (const char* cam : {"camA", "camB"}) {
+    planned.emplace(cam, BudgetLedger(100));
+  }
+  for (const auto& sp : plan.selects) {
+    for (const auto& c : sp.charges) {
+      EXPECT_EQ(c.margin, shape.margin);
+      ASSERT_TRUE(
+          planned.at(c.camera).try_reserve(c.frames, c.margin, c.epsilon));
+    }
+  }
+  for (const char* cam : {"camA", "camB"}) {
+    std::ostringstream plan_bytes;
+    planned.at(cam).save(plan_bytes);
+    EXPECT_EQ(ledger_bytes(sys, cam), ledger_bytes(direct, cam)) << cam;
+    EXPECT_EQ(plan_bytes.str(), ledger_bytes(direct, cam)) << cam;
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, AdmissionShape,
+    ::testing::Values(
+        ChargeShape{"probe", probe_query("camA"), 100},
+        ChargeShape{"keyed_group_by",
+                    "SPLIT camA BEGIN 0 END 100 BY TIME 5 STRIDE 0 INTO c;"
+                    "PROCESS c USING count TIMEOUT 1 PRODUCING 3 ROWS "
+                    "WITH SCHEMA (seen:NUMBER=0) INTO t;"
+                    "SELECT seen, COUNT(*) FROM t GROUP BY seen "
+                    "WITH KEYS [0, 1];",
+                    100},
+        ChargeShape{"multi_select",
+                    "SPLIT camA BEGIN 0 END 100 BY TIME 5 STRIDE 0 INTO c;"
+                    "PROCESS c USING count TIMEOUT 1 PRODUCING 3 ROWS "
+                    "WITH SCHEMA (seen:NUMBER=0) INTO t;"
+                    "SELECT SUM(range(seen, 0, 3)) FROM t;"
+                    "SELECT COUNT(*) FROM t CONSUMING 0.5;",
+                    100},
+        ChargeShape{"two_camera_union",
+                    "SPLIT camA BEGIN 0 END 60 BY TIME 5 STRIDE 0 INTO ca;"
+                    "SPLIT camB BEGIN 20 END 100 BY TIME 5 STRIDE 0 INTO cb;"
+                    "PROCESS ca USING count TIMEOUT 1 PRODUCING 3 ROWS "
+                    "WITH SCHEMA (seen:NUMBER=0) INTO ta;"
+                    "PROCESS cb USING count TIMEOUT 1 PRODUCING 3 ROWS "
+                    "WITH SCHEMA (seen:NUMBER=0) INTO tb;"
+                    "SELECT COUNT(*) FROM ta UNION tb;",
+                    100},
+        ChargeShape{"masked_split",
+                    "SPLIT camA BEGIN 0 END 100 BY TIME 5 STRIDE 0 "
+                    "WITH MASK strip INTO c;"
+                    "PROCESS c USING count TIMEOUT 1 PRODUCING 3 ROWS "
+                    "WITH SCHEMA (seen:NUMBER=0) INTO t;"
+                    "SELECT SUM(range(seen, 0, 3)) FROM t;",
+                    40}),
+    [](const ::testing::TestParamInfo<ChargeShape>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(ServiceAdmission, RejectionLeavesLedgersByteIdentical) {
   Privid sys = make_system(/*budget_a=*/0.5);  // probe costs 1.0
@@ -229,9 +312,9 @@ TEST(ServiceAdmission, RejectionLeavesLedgersByteIdentical) {
 }
 
 TEST(ServiceAdmission, MultiSelectQueriesReserveCumulatively) {
-  // Budget fits one SELECT (1.0) but not two over the same frames; the
-  // synchronous path would release the first and die on the second —
-  // admission must reject the whole query up front instead.
+  // Budget fits one SELECT (1.0) but not two over the same frames:
+  // admission must reject the whole query up front, not release the first
+  // SELECT and die on the second.
   Privid sys = make_system(/*budget_a=*/1.5);
   auto& service =
       sys.configure_service(service_config(1, engine::CacheMode::kOff));
@@ -286,6 +369,11 @@ TEST(ServiceRefund, SandboxCrashRefundsReservationExactlyOnce) {
   EXPECT_EQ(ledger_bytes(sys, "camA"), pristine);
   service.drain();  // settle accounting (wait() returns at notify)
   EXPECT_EQ(service.analyst_stats("alice").failed, 1u);
+
+  // The synchronous path reserves through the same controller and its
+  // crash refunds the same way.
+  EXPECT_THROW(sys.execute(crashing), SandboxBoom);
+  EXPECT_EQ(ledger_bytes(sys, "camA"), pristine);
 
   // The refunded budget is genuinely usable again.
   QueryResult r = service.wait(service.submit("alice", probe_query("camA")));

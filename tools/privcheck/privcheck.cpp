@@ -44,9 +44,10 @@ bool path_allowed(const std::string& path, const Allowlist& list) {
 }
 
 const Allowlist kReleasePoints = {"src/privacy/", "src/engine/executor.cpp"};
-const Allowlist kLedgerCallers = {"src/privacy/", "src/engine/executor.cpp",
-                                  "src/service/admission.cpp",
-                                  "src/service/admission.hpp"};
+// Admission is the one charge site: the executor prices charges but never
+// changes a ledger, so only the ledger itself and the admission controller
+// may put ε into one.
+const Allowlist kLedgerCallers = {"src/privacy/", "src/service/admission.cpp"};
 const Allowlist kSandboxBoundary = {"src/engine/sandbox.hpp",
                                     "src/engine/sandbox.cpp"};
 const Allowlist kRngFiles = {"src/common/rng.hpp", "src/common/rng.cpp"};
@@ -238,8 +239,8 @@ void check_privacy_ledger(const Ctx& ctx, const Line& ln, int n) {
         has_qualified(ln.code, "BudgetLedger", sym)) {
       ctx.emit("privacy-ledger", n,
                std::string("BudgetLedger::") + sym +
-                   " is callable only from executor release points and "
-                   "service admission");
+                   " is callable only from service admission "
+                   "(src/service/admission.cpp)");
     }
   }
 }
@@ -588,8 +589,8 @@ std::string rule_catalog() {
   return
       "privacy-release     Laplace/Gaussian mechanisms only at release "
       "points\n"
-      "privacy-ledger      BudgetLedger charge/try_reserve only at release "
-      "points + admission\n"
+      "privacy-ledger      BudgetLedger charge/try_reserve only in "
+      "service admission\n"
       "exec-output         untrusted ExecOutput only at the sandbox "
       "boundary\n"
       "determinism-random  rand/srand/random_device and second engines "

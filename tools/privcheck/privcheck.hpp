@@ -6,7 +6,8 @@
 //   privacy-release    Laplace/Gaussian mechanisms callable only from the
 //                      release points (src/privacy/, engine/executor.cpp).
 //   privacy-ledger     BudgetLedger charge/try_reserve callable only from
-//                      the release points and service admission.
+//                      service admission (service/admission.cpp), the
+//                      one charge site.
 //   exec-output        The untrusted ExecOutput type nameable only at the
 //                      sandbox boundary (engine/sandbox.*) and in the
 //                      analyst-side executable implementations.
